@@ -35,9 +35,10 @@ build-cmds:
 # K-writers-vs-serial-reference check plus the decay-race property
 # test), the inline transform's clone isolation soak, the plan
 # service's version-cached compilation, the in-process daemon, the
-# pulling VM, and the chaos fleet simulator.
+# pulling VM, the chaos fleet simulator, and the interpreter loop with
+# the fused opcodes it runs.
 test-race:
-	$(GO) test -race ./internal/runner/... ./internal/experiment/... ./internal/profiler/... ./internal/bytecode/... ./internal/dcgstore/... ./internal/inline/... ./internal/mj/... ./internal/plan/... ./internal/daemon/... ./internal/puller/... ./internal/fleetsim/... ./internal/federation/... ./internal/api/... ./internal/mincover/...
+	$(GO) test -race ./internal/runner/... ./internal/experiment/... ./internal/profiler/... ./internal/bytecode/... ./internal/dcgstore/... ./internal/inline/... ./internal/mj/... ./internal/plan/... ./internal/daemon/... ./internal/puller/... ./internal/fleetsim/... ./internal/federation/... ./internal/api/... ./internal/mincover/... ./internal/vm/... ./internal/opt/...
 
 # The cbsd aggregation daemon's httptest-based endpoint tests, the
 # hostile-pusher fuzz corpus, and the runner-driven multi-pusher

@@ -82,16 +82,9 @@ func (vm *VM) noteEntry(m *bytecode.Method) {
 	}
 }
 
-func (vm *VM) push(v Value) { vm.stack = append(vm.stack, v) }
-
-func (vm *VM) pop() Value {
-	v := vm.stack[len(vm.stack)-1]
-	vm.stack = vm.stack[:len(vm.stack)-1]
-	return v
-}
-
-// invoke transfers control into callee from the call instruction ins
-// executing in frame f.
+// invoke transfers control into callee from the call instruction at
+// f.PC. The caller's pc and the operand stack must be spilled: the
+// arguments are taken off vm.stack and the hooks may walk the frames.
 func (vm *VM) invoke(f *Frame, site int, callee *bytecode.Method) {
 	vm.Calls++
 	vm.chargeWork(vm.Cost.CallOverhead)
@@ -107,291 +100,400 @@ func (vm *VM) invoke(f *Frame, site int, callee *bytecode.Method) {
 	vm.noteEntry(callee)
 }
 
-// run interprets until the frame stack shrinks back to baseDepth.
+// run interprets until the frame stack shrinks back to baseDepth, then
+// unwinds to baseDepth and the entry frame's stack base on every exit:
+// return, halt, trap and step limit alike.
+//
+// The top frame f, its code, pc, the operand stack st and the
+// instruction and cycle counters live in locals. pc, st and the
+// counters are written back to f.PC, vm.stack, vm.Instrs and vm.Cycles
+// only where other code can observe them: before invoke, a taken
+// yieldpoint, a timer poll and Trace. The cycle count and timer
+// deadline are reloaded after each of those, since hooks may charge
+// cycles or reset the timer; f, code, pc and st are reloaded where a
+// call or return changes the top frame.
 func (vm *VM) run(baseDepth int) (Value, error) {
 	entryBase := vm.frames[baseDepth].base
+	limit := vm.MaxSteps
+	if limit == 0 {
+		limit = ^uint64(0)
+	}
+	trace := vm.Trace
+	cost := &vm.Cost.Instr
+
+	f := &vm.frames[len(vm.frames)-1]
+	code, pc, st := f.M.Code, f.PC, vm.stack
+	instrs, cycles, deadline := vm.Instrs, vm.Cycles, vm.nextTimer
+	var (
+		rv  Value
+		err error
+	)
+loop:
 	for {
-		f := &vm.frames[len(vm.frames)-1]
-		code := f.M.Code
-		if f.PC < 0 || f.PC >= len(code) {
-			return Value{}, vm.trap("pc out of range")
+		if uint(pc) >= uint(len(code)) {
+			err = trapAt(f.M, pc, "pc out of range")
+			break
 		}
-		ins := code[f.PC]
-		vm.Instrs++
-		if vm.MaxSteps > 0 && vm.Instrs > vm.MaxSteps {
-			return Value{}, vm.trap("step limit %d exceeded", vm.MaxSteps)
+		ins := code[pc]
+		instrs++
+		if instrs > limit {
+			err = trapAt(f.M, pc, "step limit %d exceeded", limit)
+			break
 		}
-		if vm.Trace != nil {
-			vm.Trace(f.M, f.PC, ins)
+		if trace != nil {
+			f.PC, vm.stack, vm.Instrs, vm.Cycles = pc, st, instrs, cycles
+			trace(f.M, pc, ins)
+			cycles, deadline = vm.Cycles, vm.nextTimer
 		}
-		vm.Cycles += vm.Cost.Instr[ins.Op]
-		vm.pollTimer()
+		cycles += cost[ins.Op]
+		if cycles >= deadline {
+			f.PC, vm.stack, vm.Instrs, vm.Cycles = pc, st, instrs, cycles
+			vm.pollTimer()
+			cycles, deadline = vm.Cycles, vm.nextTimer
+		}
 
 		switch ins.Op {
 		case bytecode.OpNop:
 
 		case bytecode.OpConst:
-			vm.push(IntV(int64(ins.A)))
+			st = append(st, IntV(int64(ins.A)))
 		case bytecode.OpConstL:
-			vm.push(IntV(f.M.Consts[ins.A]))
+			st = append(st, IntV(f.M.Consts[ins.A]))
 		case bytecode.OpLoad:
-			vm.push(f.Locals[ins.A])
+			st = append(st, f.Locals[ins.A])
 		case bytecode.OpStore:
-			f.Locals[ins.A] = vm.pop()
+			n := len(st) - 1
+			f.Locals[ins.A] = st[n]
+			st = st[:n]
 		case bytecode.OpPop:
-			vm.pop()
+			st = st[:len(st)-1]
 		case bytecode.OpDup:
-			vm.push(vm.stack[len(vm.stack)-1])
+			st = append(st, st[len(st)-1])
 
+		// Binary operators combine the top two operands in place of
+		// the lower one: a is st[n-1], b is st[n].
 		case bytecode.OpAdd:
-			b, a := vm.pop(), vm.pop()
-			vm.push(IntV(a.I + b.I))
+			n := len(st) - 1
+			st[n-1] = IntV(st[n-1].I + st[n].I)
+			st = st[:n]
 		case bytecode.OpSub:
-			b, a := vm.pop(), vm.pop()
-			vm.push(IntV(a.I - b.I))
+			n := len(st) - 1
+			st[n-1] = IntV(st[n-1].I - st[n].I)
+			st = st[:n]
 		case bytecode.OpMul:
-			b, a := vm.pop(), vm.pop()
-			vm.push(IntV(a.I * b.I))
+			n := len(st) - 1
+			st[n-1] = IntV(st[n-1].I * st[n].I)
+			st = st[:n]
 		case bytecode.OpDiv:
-			b, a := vm.pop(), vm.pop()
-			if b.I == 0 {
-				return Value{}, vm.trap("division by zero")
+			n := len(st) - 1
+			a, b := st[n-1].I, st[n].I
+			if b == 0 {
+				err = trapAt(f.M, pc, "division by zero")
+				break loop
 			}
 			// MinInt64 / -1 wraps (Java idiv semantics); Go would panic.
-			if b.I == -1 {
-				vm.push(IntV(-a.I))
+			if b == -1 {
+				st[n-1] = IntV(-a)
 			} else {
-				vm.push(IntV(a.I / b.I))
+				st[n-1] = IntV(a / b)
 			}
+			st = st[:n]
 		case bytecode.OpRem:
-			b, a := vm.pop(), vm.pop()
-			if b.I == 0 {
-				return Value{}, vm.trap("remainder by zero")
+			n := len(st) - 1
+			a, b := st[n-1].I, st[n].I
+			if b == 0 {
+				err = trapAt(f.M, pc, "remainder by zero")
+				break loop
 			}
-			if b.I == -1 { // MinInt64 % -1 is 0, not a panic
-				vm.push(IntV(0))
+			if b == -1 { // MinInt64 % -1 is 0, not a panic
+				st[n-1] = IntV(0)
 			} else {
-				vm.push(IntV(a.I % b.I))
+				st[n-1] = IntV(a % b)
 			}
+			st = st[:n]
 		case bytecode.OpNeg:
-			a := vm.pop()
-			vm.push(IntV(-a.I))
+			n := len(st) - 1
+			st[n] = IntV(-st[n].I)
 
 		case bytecode.OpAnd:
-			b, a := vm.pop(), vm.pop()
-			vm.push(IntV(a.I & b.I))
+			n := len(st) - 1
+			st[n-1] = IntV(st[n-1].I & st[n].I)
+			st = st[:n]
 		case bytecode.OpOr:
-			b, a := vm.pop(), vm.pop()
-			vm.push(IntV(a.I | b.I))
+			n := len(st) - 1
+			st[n-1] = IntV(st[n-1].I | st[n].I)
+			st = st[:n]
 		case bytecode.OpXor:
-			b, a := vm.pop(), vm.pop()
-			vm.push(IntV(a.I ^ b.I))
+			n := len(st) - 1
+			st[n-1] = IntV(st[n-1].I ^ st[n].I)
+			st = st[:n]
 		case bytecode.OpShl:
-			b, a := vm.pop(), vm.pop()
-			vm.push(IntV(a.I << (uint64(b.I) & 63)))
+			n := len(st) - 1
+			st[n-1] = IntV(st[n-1].I << (uint64(st[n].I) & 63))
+			st = st[:n]
 		case bytecode.OpShr:
-			b, a := vm.pop(), vm.pop()
-			vm.push(IntV(a.I >> (uint64(b.I) & 63)))
+			n := len(st) - 1
+			st[n-1] = IntV(st[n-1].I >> (uint64(st[n].I) & 63))
+			st = st[:n]
 
 		case bytecode.OpEq:
-			b, a := vm.pop(), vm.pop()
-			vm.push(boolV(a.I == b.I && a.R == b.R))
+			n := len(st) - 1
+			a, b := st[n-1], st[n]
+			st[n-1] = boolV(a.I == b.I && a.R == b.R)
+			st = st[:n]
 		case bytecode.OpNe:
-			b, a := vm.pop(), vm.pop()
-			vm.push(boolV(a.I != b.I || a.R != b.R))
+			n := len(st) - 1
+			a, b := st[n-1], st[n]
+			st[n-1] = boolV(a.I != b.I || a.R != b.R)
+			st = st[:n]
 		case bytecode.OpLt:
-			b, a := vm.pop(), vm.pop()
-			vm.push(boolV(a.I < b.I))
+			n := len(st) - 1
+			st[n-1] = boolV(st[n-1].I < st[n].I)
+			st = st[:n]
 		case bytecode.OpLe:
-			b, a := vm.pop(), vm.pop()
-			vm.push(boolV(a.I <= b.I))
+			n := len(st) - 1
+			st[n-1] = boolV(st[n-1].I <= st[n].I)
+			st = st[:n]
 		case bytecode.OpGt:
-			b, a := vm.pop(), vm.pop()
-			vm.push(boolV(a.I > b.I))
+			n := len(st) - 1
+			st[n-1] = boolV(st[n-1].I > st[n].I)
+			st = st[:n]
 		case bytecode.OpGe:
-			b, a := vm.pop(), vm.pop()
-			vm.push(boolV(a.I >= b.I))
+			n := len(st) - 1
+			st[n-1] = boolV(st[n-1].I >= st[n].I)
+			st = st[:n]
 		case bytecode.OpNot:
-			a := vm.pop()
-			vm.push(boolV(a.I == 0 && a.R == nil))
+			n := len(st) - 1
+			st[n] = boolV(st[n].I == 0 && st[n].R == nil)
 
 		case bytecode.OpJump:
 			target := int(ins.A)
-			if target <= f.PC && vm.ControlWord > ControlNone {
+			if target <= pc && vm.ControlWord > ControlNone {
+				f.PC, vm.stack, vm.Instrs, vm.Cycles = pc, st, instrs, cycles
 				vm.takeYieldpoint(YieldBackedge)
+				cycles, deadline = vm.Cycles, vm.nextTimer
 			}
-			f.PC = target
+			pc = target
 			continue
 		case bytecode.OpJumpZ, bytecode.OpJumpNZ:
-			v := vm.pop()
+			n := len(st) - 1
+			v := st[n]
+			st = st[:n]
 			zero := v.I == 0 && v.R == nil
 			if zero == (ins.Op == bytecode.OpJumpZ) {
 				target := int(ins.A)
-				if target <= f.PC && vm.ControlWord > ControlNone {
+				if target <= pc && vm.ControlWord > ControlNone {
+					f.PC, vm.stack, vm.Instrs, vm.Cycles = pc, st, instrs, cycles
 					vm.takeYieldpoint(YieldBackedge)
+					cycles, deadline = vm.Cycles, vm.nextTimer
 				}
-				f.PC = target
+				pc = target
 				continue
 			}
 
 		case bytecode.OpGetField:
-			o := vm.pop()
-			if o.R == nil {
-				return Value{}, vm.trap("getfield on nil")
+			n := len(st) - 1
+			o := st[n].R
+			if o == nil {
+				err = trapAt(f.M, pc, "getfield on nil")
+				break loop
 			}
-			vm.push(o.R.Fields[ins.A])
+			st[n] = o.Fields[ins.A]
 		case bytecode.OpPutField:
-			v, o := vm.pop(), vm.pop()
-			if o.R == nil {
-				return Value{}, vm.trap("putfield on nil")
+			n := len(st) - 2
+			o, v := st[n].R, st[n+1]
+			if o == nil {
+				err = trapAt(f.M, pc, "putfield on nil")
+				break loop
 			}
-			o.R.Fields[ins.A] = v
+			o.Fields[ins.A] = v
+			st = st[:n]
 		case bytecode.OpNew:
 			cls := vm.Prog.Classes[ins.A]
-			vm.chargeWork(vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(len(cls.Fields)))
-			vm.push(RefV(&Object{Class: cls, Fields: make([]Value, len(cls.Fields))}))
+			cycles += vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(len(cls.Fields))
+			st = append(st, RefV(&Object{Class: cls, Fields: make([]Value, len(cls.Fields))}))
 
 		case bytecode.OpGetStatic:
-			vm.push(vm.statics[ins.A])
+			st = append(st, vm.statics[ins.A])
 		case bytecode.OpPutStatic:
-			vm.statics[ins.A] = vm.pop()
+			n := len(st) - 1
+			vm.statics[ins.A] = st[n]
+			st = st[:n]
 
 		case bytecode.OpNewArr:
-			n := vm.pop().I
-			if n < 0 {
-				return Value{}, vm.trap("newarr with negative length %d", n)
+			n := len(st) - 1
+			size := st[n].I
+			if size < 0 {
+				err = trapAt(f.M, pc, "newarr with negative length %d", size)
+				break loop
 			}
-			vm.chargeWork(vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(n))
-			vm.push(RefV(&Object{Elems: make([]Value, n)}))
+			cycles += vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(size)
+			st[n] = RefV(&Object{Elems: make([]Value, size)})
 		case bytecode.OpALoad:
-			idx, arr := vm.pop(), vm.pop()
-			if arr.R == nil {
-				return Value{}, vm.trap("aload on nil")
+			n := len(st) - 2
+			arr, idx := st[n].R, st[n+1].I
+			if arr == nil {
+				err = trapAt(f.M, pc, "aload on nil")
+				break loop
 			}
-			if idx.I < 0 || idx.I >= int64(len(arr.R.Elems)) {
-				return Value{}, vm.trap("array index %d out of range [0,%d)", idx.I, len(arr.R.Elems))
+			if idx < 0 || idx >= int64(len(arr.Elems)) {
+				err = trapAt(f.M, pc, "array index %d out of range [0,%d)", idx, len(arr.Elems))
+				break loop
 			}
-			vm.push(arr.R.Elems[idx.I])
+			st[n] = arr.Elems[idx]
+			st = st[:n+1]
 		case bytecode.OpAStore:
-			v, idx, arr := vm.pop(), vm.pop(), vm.pop()
-			if arr.R == nil {
-				return Value{}, vm.trap("astore on nil")
+			n := len(st) - 3
+			arr, idx, v := st[n].R, st[n+1].I, st[n+2]
+			if arr == nil {
+				err = trapAt(f.M, pc, "astore on nil")
+				break loop
 			}
-			if idx.I < 0 || idx.I >= int64(len(arr.R.Elems)) {
-				return Value{}, vm.trap("array index %d out of range [0,%d)", idx.I, len(arr.R.Elems))
+			if idx < 0 || idx >= int64(len(arr.Elems)) {
+				err = trapAt(f.M, pc, "array index %d out of range [0,%d)", idx, len(arr.Elems))
+				break loop
 			}
-			arr.R.Elems[idx.I] = v
+			arr.Elems[idx] = v
+			st = st[:n]
 		case bytecode.OpArrLen:
-			arr := vm.pop()
-			if arr.R == nil {
-				return Value{}, vm.trap("arrlen on nil")
+			n := len(st) - 1
+			arr := st[n].R
+			if arr == nil {
+				err = trapAt(f.M, pc, "arrlen on nil")
+				break loop
 			}
-			vm.push(IntV(int64(len(arr.R.Elems))))
+			st[n] = IntV(int64(len(arr.Elems)))
 
 		case bytecode.OpCallStatic:
+			f.PC, vm.stack, vm.Instrs, vm.Cycles = pc, st, instrs, cycles
 			vm.invoke(f, int(ins.B), vm.Prog.Methods[ins.A])
+			f = &vm.frames[len(vm.frames)-1]
+			code, pc, st = f.M.Code, f.PC, vm.stack
+			cycles, deadline = vm.Cycles, vm.nextTimer
 			continue
 		case bytecode.OpCallVirtual:
 			slot, nargs := bytecode.DecodeVirtual(ins.A)
-			recv := vm.stack[len(vm.stack)-nargs]
-			if recv.R == nil {
-				return Value{}, vm.trap("virtual call on nil receiver")
+			recv := st[len(st)-nargs].R
+			if recv == nil {
+				err = trapAt(f.M, pc, "virtual call on nil receiver")
+				break loop
 			}
-			if recv.R.Class == nil || slot >= len(recv.R.Class.VTable) {
-				return Value{}, vm.trap("bad virtual dispatch (slot %d)", slot)
+			if recv.Class == nil || slot >= len(recv.Class.VTable) {
+				err = trapAt(f.M, pc, "bad virtual dispatch (slot %d)", slot)
+				break loop
 			}
-			callee := recv.R.Class.VTable[slot]
+			callee := recv.Class.VTable[slot]
 			if callee == nil {
-				return Value{}, vm.trap("vtable slot %d empty on %s", slot, recv.R.Class.Name)
+				err = trapAt(f.M, pc, "vtable slot %d empty on %s", slot, recv.Class.Name)
+				break loop
 			}
-			vm.chargeWork(vm.Cost.VirtualDispatch)
+			cycles += vm.Cost.VirtualDispatch
+			f.PC, vm.stack, vm.Instrs, vm.Cycles = pc, st, instrs, cycles
 			vm.invoke(f, int(ins.B), callee)
+			f = &vm.frames[len(vm.frames)-1]
+			code, pc, st = f.M.Code, f.PC, vm.stack
+			cycles, deadline = vm.Cycles, vm.nextTimer
 			continue
 
 		case bytecode.OpMakeClosure:
 			target := vm.Prog.Methods[ins.A]
 			ncaps := int(ins.B)
-			vm.chargeWork(vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(ncaps))
+			cycles += vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(ncaps)
+			n := len(st) - ncaps
 			caps := make([]Value, ncaps)
-			copy(caps, vm.stack[len(vm.stack)-ncaps:])
-			vm.stack = vm.stack[:len(vm.stack)-ncaps]
-			vm.push(RefV(&Object{Fn: target, Fields: caps}))
+			copy(caps, st[n:])
+			st = append(st[:n], RefV(&Object{Fn: target, Fields: caps}))
 		case bytecode.OpCallClosure:
 			nargs := int(ins.A)
-			fn := vm.stack[len(vm.stack)-nargs]
-			if fn.R == nil {
-				return Value{}, vm.trap("closure call on nil")
+			fn := st[len(st)-nargs].R
+			if fn == nil {
+				err = trapAt(f.M, pc, "closure call on nil")
+				break loop
 			}
-			if fn.R.Fn == nil {
-				return Value{}, vm.trap("closure call on non-closure %s", castClassName(fn.R))
+			if fn.Fn == nil {
+				err = trapAt(f.M, pc, "closure call on non-closure %s", castClassName(fn))
+				break loop
 			}
-			callee := fn.R.Fn
+			callee := fn.Fn
 			if callee.NArgs != nargs {
-				return Value{}, vm.trap("closure %s takes %d args, call site passes %d", callee.Name, callee.NArgs, nargs)
+				err = trapAt(f.M, pc, "closure %s takes %d args, call site passes %d", callee.Name, callee.NArgs, nargs)
+				break loop
 			}
-			vm.chargeWork(vm.Cost.VirtualDispatch)
+			cycles += vm.Cost.VirtualDispatch
+			f.PC, vm.stack, vm.Instrs, vm.Cycles = pc, st, instrs, cycles
 			vm.invoke(f, int(ins.B), callee)
+			f = &vm.frames[len(vm.frames)-1]
+			code, pc, st = f.M.Code, f.PC, vm.stack
+			cycles, deadline = vm.Cycles, vm.nextTimer
 			continue
 
 		case bytecode.OpReturn, bytecode.OpReturnVoid:
-			var rv Value
+			var ret Value
 			if ins.Op == bytecode.OpReturn {
-				rv = vm.pop()
+				n := len(st) - 1
+				ret = st[n]
+				st = st[:n]
 			}
 			if vm.ControlWord != ControlNone && vm.EpilogueYieldpoints {
+				f.PC, vm.stack, vm.Instrs, vm.Cycles = pc, st, instrs, cycles
 				vm.takeYieldpoint(YieldEpilogue)
+				cycles, deadline = vm.Cycles, vm.nextTimer
 			}
-			vm.stack = vm.stack[:f.base]
+			st = st[:f.base]
 			vm.frames = vm.frames[:len(vm.frames)-1]
 			if len(vm.frames) == baseDepth {
-				return rv, nil
+				rv = ret
+				break loop
 			}
-			caller := &vm.frames[len(vm.frames)-1]
-			caller.PC++
-			vm.push(rv)
+			f = &vm.frames[len(vm.frames)-1]
+			code, pc = f.M.Code, f.PC+1
+			st = append(st, ret)
 			continue
 
 		case bytecode.OpClassEq:
-			o := vm.pop()
-			vm.push(boolV(o.R != nil && o.R.Class != nil && o.R.Class.ID == int(ins.A)))
+			n := len(st) - 1
+			o := st[n].R
+			st[n] = boolV(o != nil && o.Class != nil && o.Class.ID == int(ins.A))
 		case bytecode.OpVTEq:
-			o := vm.pop()
+			n := len(st) - 1
+			o := st[n].R
 			slot, mid := bytecode.DecodeVTEq(ins.A)
-			ok := o.R != nil && o.R.Class != nil && slot < len(o.R.Class.VTable) &&
-				o.R.Class.VTable[slot] == vm.Prog.Methods[mid]
-			vm.push(boolV(ok))
+			st[n] = boolV(o != nil && o.Class != nil && slot < len(o.Class.VTable) &&
+				o.Class.VTable[slot] == vm.Prog.Methods[mid])
 		case bytecode.OpInstanceOf:
-			o := vm.pop()
-			vm.push(boolV(o.R != nil && o.R.Class != nil && o.R.Class.SubclassOf(vm.Prog.Classes[ins.A])))
+			n := len(st) - 1
+			o := st[n].R
+			st[n] = boolV(o != nil && o.Class != nil && o.Class.SubclassOf(vm.Prog.Classes[ins.A]))
 		case bytecode.OpCast:
-			o := vm.stack[len(vm.stack)-1]
-			if o.R != nil && (o.R.Class == nil || !o.R.Class.SubclassOf(vm.Prog.Classes[ins.A])) {
-				return Value{}, vm.trap("cannot cast %s to %s", castClassName(o.R), vm.Prog.Classes[ins.A].Name)
+			o := st[len(st)-1].R
+			if o != nil && (o.Class == nil || !o.Class.SubclassOf(vm.Prog.Classes[ins.A])) {
+				err = trapAt(f.M, pc, "cannot cast %s to %s", castClassName(o), vm.Prog.Classes[ins.A].Name)
+				break loop
 			}
 		case bytecode.OpIsNull:
-			o := vm.pop()
-			vm.push(boolV(o.R == nil && o.I == 0))
+			n := len(st) - 1
+			st[n] = boolV(st[n].R == nil && st[n].I == 0)
 		case bytecode.OpNull:
-			vm.push(Value{})
+			st = append(st, Value{})
 
 		// Superinstructions (emitted by opt.Fuse): each case is the
 		// literal composition of its unfused parts, executed under the
 		// single summed cycle charge taken above.
 		case bytecode.OpLoadLoad:
-			vm.push(f.Locals[ins.A])
-			vm.push(f.Locals[ins.B])
+			st = append(st, f.Locals[ins.A], f.Locals[ins.B])
 		case bytecode.OpLoadConst:
-			vm.push(f.Locals[ins.A])
-			vm.push(IntV(int64(ins.B)))
+			st = append(st, f.Locals[ins.A], IntV(int64(ins.B)))
 		case bytecode.OpAddConst:
-			a := vm.pop()
-			vm.push(IntV(a.I + int64(ins.A)))
+			n := len(st) - 1
+			st[n] = IntV(st[n].I + int64(ins.A))
 		case bytecode.OpIncLocal:
 			// Like Load;Const;Add;Store, the result is a pure integer:
 			// any reference interpretation of the local is dropped.
 			f.Locals[ins.A] = IntV(f.Locals[ins.A].I + int64(ins.B))
 		case bytecode.OpJumpCmp:
-			b, a := vm.pop(), vm.pop()
+			n := len(st) - 2
+			a, b := st[n], st[n+1]
+			st = st[:n]
 			var take bool
 			switch bytecode.Opcode(ins.B) {
 			case bytecode.OpEq:
@@ -407,30 +509,37 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 			case bytecode.OpGe:
 				take = a.I >= b.I
 			default:
-				return Value{}, vm.trap("jumpcmp with bad comparison %d", ins.B)
+				err = trapAt(f.M, pc, "jumpcmp with bad comparison %d", ins.B)
+				break loop
 			}
 			if take {
 				target := int(ins.A)
-				if target <= f.PC && vm.ControlWord > ControlNone {
+				if target <= pc && vm.ControlWord > ControlNone {
+					f.PC, vm.stack, vm.Instrs, vm.Cycles = pc, st, instrs, cycles
 					vm.takeYieldpoint(YieldBackedge)
+					cycles, deadline = vm.Cycles, vm.nextTimer
 				}
-				f.PC = target
+				pc = target
 				continue
 			}
 
 		case bytecode.OpPrint:
-			v := vm.pop()
-			vm.Output = append(vm.Output, v.I)
+			n := len(st) - 1
+			vm.Output = append(vm.Output, st[n].I)
+			st = st[:n]
 		case bytecode.OpHalt:
-			vm.stack = vm.stack[:entryBase]
-			vm.frames = vm.frames[:baseDepth]
-			return Value{}, nil
+			break loop
 
 		default:
-			return Value{}, vm.trap("unimplemented opcode %v", ins.Op)
+			err = trapAt(f.M, pc, "unimplemented opcode %v", ins.Op)
+			break loop
 		}
-		f.PC++
+		pc++
 	}
+	vm.Instrs, vm.Cycles = instrs, cycles
+	vm.frames = vm.frames[:baseDepth]
+	vm.stack = st[:entryBase]
+	return rv, err
 }
 
 func castClassName(o *Object) string {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -119,6 +120,80 @@ func TestHaltUnwindsNestedCalls(t *testing.T) {
 	// The VM remains usable after Halt.
 	if _, err := m.Call(prog.MethodByName("$Globals.outer")); err != nil {
 		t.Fatalf("VM unusable after halt: %v", err)
+	}
+}
+
+// walkRecorder records the (method, pc) walk at every method entry.
+type walkRecorder struct{ walks []string }
+
+func (w *walkRecorder) Name() string { return "walks" }
+
+func (w *walkRecorder) OnEntry(vm *VM, _ *bytecode.Method) {
+	var b strings.Builder
+	vm.WalkStack(func(m *bytecode.Method, pc int) bool {
+		fmt.Fprintf(&b, "%s@%d ", m.Name, pc)
+		return true
+	})
+	w.walks = append(w.walks, b.String())
+}
+
+// TestTrapUnwindsFramesAndStack checks that a trap in a callee, or a
+// step limit, leaves no dead frame or operand behind: the next run on
+// the same VM starts from an empty stack and its walks show only live
+// frames.
+func TestTrapUnwindsFramesAndStack(t *testing.T) {
+	pb := bytecode.NewProgramBuilder()
+	div := pb.NewFunc("div", 2)
+	div.Emit(bytecode.OpLoad, 0)
+	div.Emit(bytecode.OpLoad, 1)
+	div.Emit(bytecode.OpDiv)
+	div.Emit(bytecode.OpReturn)
+	main := pb.NewFunc("main", 1)
+	main.Const(1) // a live caller operand below the call
+	main.Const(10)
+	main.Emit(bytecode.OpLoad, 0)
+	main.CallStatic(div)
+	main.Emit(bytecode.OpAdd)
+	main.Emit(bytecode.OpReturn)
+	pb.SetEntry(main)
+	prog, err := pb.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		maxSteps uint64
+		arg      int64
+	}{
+		{"trap", 0, 0},
+		{"step-limit", 5, 2},
+	} {
+		m := New(prog)
+		m.MaxSteps = tc.maxSteps
+		if _, err := m.Run(tc.arg); err == nil {
+			t.Fatalf("%s: expected an error", tc.name)
+		}
+		if m.Depth() != 0 || len(m.stack) != 0 {
+			t.Fatalf("%s: after the error depth %d, stack %d; want 0, 0", tc.name, m.Depth(), len(m.stack))
+		}
+		m.WalkStack(func(mm *bytecode.Method, pc int) bool {
+			t.Errorf("%s: walk after the error visits %s@%d", tc.name, mm.Name, pc)
+			return true
+		})
+		m.MaxSteps = 0
+		rec := &walkRecorder{}
+		m.SetProfiler(rec)
+		v, err := m.Run(2)
+		if err != nil || v.I != 6 {
+			t.Fatalf("%s: rerun = %d, %v; want 6", tc.name, v.I, err)
+		}
+		want := []string{"$Globals.main@0 ", "$Globals.div@0 $Globals.main@3 "}
+		if fmt.Sprint(rec.walks) != fmt.Sprint(want) {
+			t.Errorf("%s: rerun walks %q, want %q", tc.name, rec.walks, want)
+		}
+		if m.Depth() != 0 || len(m.stack) != 0 {
+			t.Errorf("%s: after the rerun depth %d, stack %d; want 0, 0", tc.name, m.Depth(), len(m.stack))
+		}
 	}
 }
 
