@@ -136,8 +136,10 @@ soak-gen:
 	$(GO) run ./cmd/cbsload -vms 16 -rounds 6 -seed $(SOAK_SEED) -faults all -restarts 1 \
 		-gen-seed $$seed -gen-shape closureheavy -profilers cbs,exhaustive,mincover
 
+# go vet plus a gofmt gate: any file gofmt would change fails the target.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go')); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Explicit vet pass over the command binaries (kept separate so ci
 # still flags a cmd that a package rename dropped from ./...).

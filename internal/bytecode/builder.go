@@ -151,11 +151,11 @@ type closureRef struct {
 
 // MethodBuilder accumulates the body of one method.
 type MethodBuilder struct {
-	cb      *ClassBuilder
-	name    string
-	static  bool
-	nargs   int
-	nlocals int
+	cb       *ClassBuilder
+	name     string
+	static   bool
+	nargs    int
+	nlocals  int
 	code     []Instr
 	consts   []int64
 	labels   []int // label -> bound pc, or -1

@@ -571,19 +571,19 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		meanMs = float64(nanos) / float64(applied) / 1e6
 	}
 	m := api.MetricsResponse{
-		Edges:           st.Edges,
-		TotalWeight:     st.TotalWeight,
-		SamplesIngested: st.SamplesIngested,
-		Merges:          st.Merges,
-		DecayEpoch:      st.Epoch,
-		Shards:          st.Shards,
-		Pushers:         st.Pushers,
-		Ingests:         ingests,
-		IngestErrors:    s.ingestErrors.Load(),
-		IngestDups:      st.Duplicates,
-		MergeMsTotal:    float64(nanos) / 1e6,
-		MergeMsMean:     meanMs,
-		UptimeS:         time.Since(s.start).Seconds(),
+		Edges:                   st.Edges,
+		TotalWeight:             st.TotalWeight,
+		SamplesIngested:         st.SamplesIngested,
+		Merges:                  st.Merges,
+		DecayEpoch:              st.Epoch,
+		Shards:                  st.Shards,
+		Pushers:                 st.Pushers,
+		Ingests:                 ingests,
+		IngestErrors:            s.ingestErrors.Load(),
+		IngestDups:              st.Duplicates,
+		MergeMsTotal:            float64(nanos) / 1e6,
+		MergeMsMean:             meanMs,
+		UptimeS:                 time.Since(s.start).Seconds(),
 		ProgramVersions:         s.multi.NumKeys(),
 		VersionSubstoresEvicted: s.multi.Evicted(),
 	}

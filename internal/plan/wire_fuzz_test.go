@@ -30,11 +30,11 @@ func FuzzReadPlan(f *testing.F) {
 		Decisions: []plan.Decision{{Site: 5, Callee: 2}},
 	})
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])                // truncated record
+	f.Add(valid[:len(valid)-3])                  // truncated record
 	f.Add(append(append([]byte{}, valid...), 1)) // trailing byte
-	f.Add([]byte("PLNB"))                      // bare magic
-	f.Add([]byte("DCGB\x01\x00\x00\x00"))      // profile magic
-	f.Add([]byte("dcg v1\nedge 1 2 3 4\n"))    // legacy profile text
+	f.Add([]byte("PLNB"))                        // bare magic
+	f.Add([]byte("DCGB\x01\x00\x00\x00"))        // profile magic
+	f.Add([]byte("dcg v1\nedge 1 2 3 4\n"))      // legacy profile text
 	huge := append([]byte{}, valid...)
 	huge[4] = 0xFF // absurd version
 	f.Add(huge)

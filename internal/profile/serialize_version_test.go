@@ -69,8 +69,8 @@ func TestReadDCGRejectsCorruptBinary(t *testing.T) {
 		return mut(buf.Bytes())
 	}
 	cases := map[string][]byte{
-		"bad magic": mk(func(b []byte) []byte { b[0] = 'X'; return b }),
-		"version 0": mk(func(b []byte) []byte { b[4] = 0; return b }),
+		"bad magic":        mk(func(b []byte) []byte { b[0] = 'X'; return b }),
+		"version 0":        mk(func(b []byte) []byte { b[4] = 0; return b }),
 		"truncated record": mk(func(b []byte) []byte { return b[:len(b)-5] }),
 		"trailing garbage": mk(func(b []byte) []byte { return append(b, 0xAB) }),
 		"count overdeclared": mk(func(b []byte) []byte {
