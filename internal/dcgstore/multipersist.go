@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 
 	"gocbs/internal/api"
+	"gocbs/internal/atomicfile"
 	"gocbs/internal/bytecode"
 	"gocbs/internal/profile"
 )
@@ -62,19 +63,19 @@ func SaveMultiCheckpoint(dir string, m *Multi) error {
 			continue
 		}
 		g, seqs := sub.CheckpointState()
-		if err := writeFileAtomic(dir, keyFile("seqs", key, ".seq"), func(w io.Writer) error {
+		if err := atomicfile.Write(filepath.Join(dir, keyFile("seqs", key, ".seq")), func(w io.Writer) error {
 			return writeSequences(w, seqs)
 		}); err != nil {
 			return fmt.Errorf("checkpoint %s sequences: %w", key.String(), err)
 		}
-		if err := writeFileAtomic(dir, keyFile("graph", key, ".dcgb"), func(w io.Writer) error {
+		if err := atomicfile.Write(filepath.Join(dir, keyFile("graph", key, ".dcgb")), func(w io.Writer) error {
 			_, err := g.WriteTo(w)
 			return err
 		}); err != nil {
 			return fmt.Errorf("checkpoint %s graph: %w", key.String(), err)
 		}
 		if man := m.Manifest(key); man != nil {
-			if err := writeFileAtomic(dir, keyFile("manifest", key, ".json"), func(w io.Writer) error {
+			if err := atomicfile.Write(filepath.Join(dir, keyFile("manifest", key, ".json")), func(w io.Writer) error {
 				_, err := w.Write(man.Encode())
 				return err
 			}); err != nil {
@@ -82,7 +83,7 @@ func SaveMultiCheckpoint(dir string, m *Multi) error {
 			}
 		}
 		if c := m.Carried(key); c != nil {
-			if err := writeFileAtomic(dir, keyFile("carried", key, ".dcgb"), func(w io.Writer) error {
+			if err := atomicfile.Write(filepath.Join(dir, keyFile("carried", key, ".dcgb")), func(w io.Writer) error {
 				_, err := c.WriteTo(w)
 				return err
 			}); err != nil {
@@ -96,7 +97,7 @@ func SaveMultiCheckpoint(dir string, m *Multi) error {
 		idx.Latest[p] = v
 	}
 	m.mu.RUnlock()
-	if err := writeFileAtomic(dir, MultiIndexFile, func(w io.Writer) error {
+	if err := atomicfile.Write(filepath.Join(dir, MultiIndexFile), func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(idx)

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"gocbs/internal/atomicfile"
 	"gocbs/internal/profile"
 )
 
@@ -20,9 +21,9 @@ import (
 // The store's durability model is checkpoint-based: the whole graph is
 // periodically written to a state directory and reloaded on boot, so a
 // restarted daemon resumes with the fleet DCG intact instead of empty.
-// A checkpoint is two files, each replaced via write-to-temp + fsync +
-// atomic rename so a crash mid-write leaves the previous checkpoint
-// untouched:
+// A checkpoint is two files, each replaced through atomicfile.Write
+// (temp file, fsync, rename, directory fsync) so a crash mid-write
+// leaves the previous checkpoint untouched:
 //
 //	store.dcgb   the graph, in the versioned DCGB binary wire format
 //	             (the same canonical serialization /snapshot streams)
@@ -56,36 +57,6 @@ const (
 // checkpoints.
 const DefaultCheckpointEvery = 30 * time.Second
 
-// writeFileAtomic writes the payload produced by fill to dir/name via
-// a temp file, fsync, and rename, so readers (and crash recovery) see
-// either the old complete file or the new complete file, never a
-// partial write.
-func writeFileAtomic(dir, name string, fill func(io.Writer) error) error {
-	f, err := os.CreateTemp(dir, name+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	defer os.Remove(tmp) // no-op after a successful rename
-	bw := bufio.NewWriter(f)
-	if err := fill(bw); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, name))
-}
-
 // SaveCheckpoint writes a consistent checkpoint of s into dir,
 // creating dir if needed.
 func SaveCheckpoint(dir string, s *Store) error {
@@ -94,12 +65,12 @@ func SaveCheckpoint(dir string, s *Store) error {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	// Sequences first, graph last: see the ordering argument above.
-	if err := writeFileAtomic(dir, CheckpointSeqFile, func(w io.Writer) error {
+	if err := atomicfile.Write(filepath.Join(dir, CheckpointSeqFile), func(w io.Writer) error {
 		return writeSequences(w, seqs)
 	}); err != nil {
 		return fmt.Errorf("checkpoint sequences: %w", err)
 	}
-	if err := writeFileAtomic(dir, CheckpointGraphFile, func(w io.Writer) error {
+	if err := atomicfile.Write(filepath.Join(dir, CheckpointGraphFile), func(w io.Writer) error {
 		_, err := g.WriteTo(w)
 		return err
 	}); err != nil {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 
+	"gocbs/internal/atomicfile"
 	"gocbs/internal/bytecode"
 	"gocbs/internal/profile"
 )
@@ -302,8 +304,8 @@ func (s *Service) restore(program, version string) *Plan {
 	return p
 }
 
-// persist atomically writes the plan file (write-temp-then-rename, the
-// same discipline as the store checkpoints).
+// persist atomically writes the plan file (the same discipline as the
+// store checkpoints).
 func (s *Service) persist(program, version string, p *Plan) error {
 	if s.cfg.StateDir == "" {
 		return nil
@@ -311,22 +313,8 @@ func (s *Service) persist(program, version string, p *Plan) error {
 	if err := os.MkdirAll(s.cfg.StateDir, 0o755); err != nil {
 		return err
 	}
-	path := planFile(s.cfg.StateDir, program, version)
-	tmp, err := os.CreateTemp(s.cfg.StateDir, "plan-*.tmp")
-	if err != nil {
+	return atomicfile.Write(planFile(s.cfg.StateDir, program, version), func(w io.Writer) error {
+		_, err := p.WriteTo(w)
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := p.WriteTo(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	})
 }
