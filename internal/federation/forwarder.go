@@ -7,12 +7,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
 	"gocbs/internal/api"
+	"gocbs/internal/atomicfile"
 	"gocbs/internal/bytecode"
 	"gocbs/internal/profile"
 )
@@ -26,14 +27,16 @@ import (
 // it by (pusher, seq) — weight can neither vanish nor double-count
 // across a leaf restart.
 //
-// Crash matrix (state file written atomically via temp + rename):
+// Crash matrix (state file written through atomicfile.Write; one
+// write-ahead persist before the first push, and acks persisted once,
+// after the last ack or at the first failed send):
 //
 //   - crash before capture persists: the weight is still in the
 //     store snapshot; the next capture picks it up under a new seq.
-//   - crash after capture persists, before/through the push: the
-//     increment is in pending; restart re-sends it verbatim. If the
-//     push had actually landed, the root drops it as a duplicate.
-//   - crash after the ack persists: nothing outstanding.
+//   - crash after capture persists, before the acks persist: the
+//     increments are in pending; restart re-sends them verbatim. The
+//     root drops as duplicates those that had actually landed.
+//   - crash after the acks persist: nothing outstanding.
 //
 // The store snapshot the forwarder captures from must never shrink
 // (leaves do not decay locally — decay is the root's job), and on a
@@ -81,6 +84,8 @@ type Forwarder struct {
 
 	forwards uint64
 	errs     uint64
+	// stateWrites counts state-file writes attempted.
+	stateWrites uint64
 }
 
 // stampedDelta is one frozen increment. A zero key targets the root's
@@ -179,6 +184,12 @@ func (f *Forwarder) Flush() (api.FlushResponse, error) {
 	defer f.mu.Unlock()
 
 	resp := api.FlushResponse{}
+	// unsaved marks acknowledged progress (relayed manifests, acked
+	// increments) not yet in the state file. Losing it in a crash only
+	// costs an idempotent re-register or a deduplicated re-send, so it
+	// is saved once, by the write-ahead persist or at the end of the
+	// flush, not after every acknowledgement.
+	unsaved := false
 
 	// Manifests go first, in registration order, so the root learns a
 	// build's succession (and runs its carry-forward) before that
@@ -192,16 +203,13 @@ func (f *Forwarder) Flush() (api.FlushResponse, error) {
 			}
 			if _, err := f.upstream.PushManifest(key, man.Encode()); err != nil {
 				f.errs++
+				f.saveAcksLocked(unsaved)
 				resp.Pending = len(f.pending)
 				resp.Seq = f.ackedSeqLocked()
 				return resp, fmt.Errorf("federation: relay manifest %s: %w", key.String(), err)
 			}
 			f.sentManifests[key] = true
-			if err := f.persistLocked(); err != nil {
-				// The relay landed; a stale sent-set only means one
-				// redundant (idempotent) re-register after a crash.
-				f.errs++
-			}
+			unsaved = true
 		}
 	}
 
@@ -267,12 +275,14 @@ func (f *Forwarder) Flush() (api.FlushResponse, error) {
 			resp.Edges, resp.Weight = 0, 0
 			return resp, fmt.Errorf("federation: persist capture: %w", err)
 		}
+		unsaved = false
 	}
 
 	for len(f.pending) > 0 {
 		head := f.pending[0]
 		if _, err := f.upstream.PushDeltaKeyed(f.id, head.seq, head.key, encodeDCG(head.delta)); err != nil {
 			f.errs++
+			f.saveAcksLocked(unsaved)
 			resp.Pending = len(f.pending)
 			resp.Seq = f.ackedSeqLocked()
 			return resp, fmt.Errorf("federation: forward seq %d: %w", head.seq, err)
@@ -287,11 +297,13 @@ func (f *Forwarder) Flush() (api.FlushResponse, error) {
 			f.ackedKeyed[head.key].Merge(head.delta)
 		}
 		f.forwards++
+		unsaved = true
+	}
+	if unsaved {
 		if err := f.persistLocked(); err != nil {
-			// The ack is applied in memory; a stale state file only
-			// means a redundant (deduplicated) re-send after a crash.
+			// The acks are applied in memory; a stale state file only
+			// means redundant (deduplicated) re-sends after a crash.
 			f.errs++
-			resp.Pending = len(f.pending)
 			resp.Seq = f.ackedSeqLocked()
 			return resp, fmt.Errorf("federation: persist ack: %w", err)
 		}
@@ -299,6 +311,16 @@ func (f *Forwarder) Flush() (api.FlushResponse, error) {
 	resp.Forwarded = true
 	resp.Seq = f.seq
 	return resp, nil
+}
+
+// saveAcksLocked persists acknowledged progress before a flush
+// returns on a failed send, so the next flush does not re-send what
+// was already acknowledged. A persist failure here only counts as an
+// error: the send's failure is what the flush reports.
+func (f *Forwarder) saveAcksLocked(unsaved bool) {
+	if unsaved && f.persistLocked() != nil {
+		f.errs++
+	}
 }
 
 // ackedSeqLocked returns the highest acknowledged sequence: the seq
@@ -409,8 +431,8 @@ func decodeDCG(b []byte) (*profile.DCG, error) {
 	return profile.ReadDCG(bytes.NewReader(b))
 }
 
-// persistLocked writes the state atomically (temp file + rename into
-// place), a no-op without a StatePath.
+// persistLocked writes the state atomically (see atomicfile.Write), a
+// no-op without a StatePath.
 func (f *Forwarder) persistLocked() error {
 	if f.statePath == "" {
 		return nil
@@ -462,25 +484,11 @@ func (f *Forwarder) persistLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(f.statePath), ".fwd-*")
-	if err != nil {
+	f.stateWrites++
+	return atomicfile.Write(f.statePath, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), f.statePath)
+	})
 }
 
 // restore loads persisted state; a missing file is a fresh start.
