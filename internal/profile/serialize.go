@@ -47,38 +47,33 @@ const maxWireEdges = 1 << 32
 
 // WriteTo serializes the graph in the current binary wire format, in
 // deterministic edge order. The output is canonical: two DCGs with the
-// same edges and weights serialize to identical bytes.
+// same edges and weights serialize to identical bytes. Records are
+// encoded into a fixed chunk buffer with no reflection, the mirror of
+// readBinary's batched decode.
 func (g *DCG) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
+	es := g.Edges()
+	const batch = 512
+	buf := make([]byte, 0, wireHdrSize+min(len(es), batch)*wireRecSize)
+	buf = append(buf, wireMagic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, WireVersion)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(es)))
 	var n int64
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
+	for _, e := range es {
+		if len(buf)+wireRecSize > cap(buf) {
+			m, err := w.Write(buf)
+			n += int64(m)
+			if err != nil {
+				return n, err
+			}
+			buf = buf[:0]
 		}
-		n += int64(binary.Size(v))
-		return nil
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(e.Caller)))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(e.Site)))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(e.Callee)))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.weights[e]))
 	}
-	if err := write(wireMagic); err != nil {
-		return n, err
-	}
-	if err := write(uint32(WireVersion)); err != nil {
-		return n, err
-	}
-	if err := write(uint64(g.NumEdges())); err != nil {
-		return n, err
-	}
-	for _, e := range g.Edges() {
-		rec := [4]uint64{
-			uint64(int64(e.Caller)),
-			uint64(int64(e.Site)),
-			uint64(int64(e.Callee)),
-			math.Float64bits(g.weights[e]),
-		}
-		if err := write(rec); err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
+	m, err := w.Write(buf)
+	return n + int64(m), err
 }
 
 // WriteText serializes the graph in the legacy (version 0) text
@@ -133,8 +128,7 @@ func DecodeDCGBytes(data []byte) (*DCG, error) {
 	if len(data) < len(wireMagic) || [4]byte(data[:4]) != wireMagic {
 		return readLegacyText(bufio.NewReader(bytes.NewReader(data)))
 	}
-	const hdrSize = 16 // magic + u32 version + u64 edge count
-	if len(data) < hdrSize {
+	if len(data) < wireHdrSize {
 		return nil, fmt.Errorf("truncated profile header: %d bytes", len(data))
 	}
 	version := binary.LittleEndian.Uint32(data[4:8])
@@ -146,7 +140,7 @@ func DecodeDCGBytes(data []byte) (*DCG, error) {
 	if edges > maxWireEdges {
 		return nil, fmt.Errorf("profile declares %d edges, beyond the %d limit", edges, maxWireEdges)
 	}
-	body := data[hdrSize:]
+	body := data[wireHdrSize:]
 	if uint64(len(body)) != edges*wireRecSize {
 		if uint64(len(body)) < edges*wireRecSize {
 			return nil, fmt.Errorf("edge %d of %d: truncated record: %w",
@@ -154,7 +148,9 @@ func DecodeDCGBytes(data []byte) (*DCG, error) {
 		}
 		return nil, fmt.Errorf("trailing data after %d edges", edges)
 	}
-	g := NewDCG()
+	// The body length matches the header, so the edge count is bounded
+	// by the payload actually received and can size the map.
+	g := &DCG{weights: make(map[Edge]float64, edges)}
 	for i := uint64(0); i < edges; i++ {
 		if err := g.addWireRecord(i, body[i*wireRecSize:(i+1)*wireRecSize]); err != nil {
 			return nil, err
@@ -162,6 +158,10 @@ func DecodeDCGBytes(data []byte) (*DCG, error) {
 	}
 	return g, nil
 }
+
+// wireHdrSize is the byte size of the binary header: magic, u32
+// version, u64 edge count.
+const wireHdrSize = 16
 
 // wireRecSize is the byte size of one binary edge record.
 const wireRecSize = 32
@@ -189,7 +189,7 @@ func (g *DCG) addWireRecord(i uint64, rec []byte) error {
 // chunk buffer — one ReadFull and zero reflection per batch rather
 // than one binary.Read per record.
 func readBinary(br *bufio.Reader) (*DCG, error) {
-	var hdr [16]byte
+	var hdr [wireHdrSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("truncated profile header: %w", err)
 	}
