@@ -20,7 +20,6 @@ func TestMergeDCGFromDeduplicatesRetries(t *testing.T) {
 	if s.MergeDCGFrom("p-a", 1, inc) {
 		t.Error("retried seq 1 applied twice")
 	}
-	s.Sync()
 	if w := s.Weight(edge(1, 2, 3)); w != 5 {
 		t.Errorf("weight after retry = %v, want 5", w)
 	}
@@ -35,7 +34,6 @@ func TestMergeDCGFromDeduplicatesRetries(t *testing.T) {
 	if !s.MergeDCGFrom("p-b", 1, inc) {
 		t.Error("other pusher's seq 1 rejected")
 	}
-	s.Sync()
 	if w := s.Weight(edge(1, 2, 3)); w != 15 {
 		t.Errorf("final weight = %v, want 15", w)
 	}
@@ -54,7 +52,6 @@ func TestMergeDCGFromUnstampedAlwaysApplies(t *testing.T) {
 			t.Fatal("unstamped merge rejected")
 		}
 	}
-	s.Sync()
 	if w := s.Weight(edge(1, 1, 1)); w != 3 {
 		t.Errorf("weight = %v, want 3 (unstamped merges are at-least-once by design)", w)
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // TestConcurrentSoak is the store's race soak: K goroutines hammer the
-// store with a mix of single samples, bulk merges, lock-free reads,
-// snapshots, and syncs, and the final state must equal a serial
+// store with a mix of single samples, bulk merges, reads, and
+// snapshots, and the final state must equal a serial
 // reference merge of exactly the same contributions. Run under
 // `go test -race` (wired into `make test-race`).
 func TestConcurrentSoak(t *testing.T) {
@@ -49,7 +49,7 @@ func TestConcurrentSoak(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Concurrent readers: exercise the lock-free read path and the
+	// Concurrent readers: exercise the per-shard read path and the
 	// consistent snapshot path while writers run.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
@@ -77,8 +77,6 @@ func TestConcurrentSoak(t *testing.T) {
 						t.Errorf("inconsistent snapshot: sum %v vs total %v", sum, snap.Total())
 						return
 					}
-				} else {
-					s.Sync()
 				}
 			}
 		}(r)

@@ -6,19 +6,17 @@
 // The store is lock-striped: edges are distributed over N shards by a
 // mixed hash of the (caller, site, callee) triple, and each shard has
 // its own mutex, weight map, and local total, so concurrent writers
-// touching different shards never contend. Reads (Weight, Percent,
-// TotalWeight, NumEdges) are lock-free: they only load each shard's
-// last *published* immutable snapshot through an atomic pointer.
-// Writers republish a shard's snapshot after every bulk merge and
-// after every publishEvery single-sample writes, so lock-free reads
-// trail writes by a bounded amount; Sync forces publication
-// everywhere, and Snapshot locks all shards at once for a consistent
-// point-in-time cut.
+// touching different shards never contend. Every read (Weight,
+// Percent, TotalWeight, NumEdges, Stats) takes the mutex of each shard
+// it visits, one at a time, so a read sees every write that completed
+// before it. A bulk merge costs O(delta): one pass over the pushed
+// graph, then the touched shards are locked together and updated in
+// place, with no copy of what the store already holds. Snapshot locks
+// all shards at once for a consistent point-in-time cut.
 package dcgstore
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -30,37 +28,12 @@ import (
 // concurrent pushers while keeping Snapshot's all-shards lock cheap.
 const DefaultShards = 32
 
-// publishEvery bounds how many AddSample writes a shard accepts before
-// it republishes its read snapshot, i.e. how stale the lock-free read
-// path can get between bulk merges.
-const publishEvery = 256
-
-// shardSnap is an immutable published view of one shard. Readers load
-// it atomically and never mutate it; writers build a fresh copy.
-type shardSnap struct {
-	weights map[profile.Edge]float64
-	total   float64
-}
-
-var emptySnap = &shardSnap{weights: map[profile.Edge]float64{}}
-
+// shard is one lock stripe: the weights of the edges that hash to it
+// and their sum, both guarded by mu.
 type shard struct {
 	mu      sync.Mutex
 	weights map[profile.Edge]float64
 	total   float64
-	dirty   int // writes since last publish
-	snap    atomic.Pointer[shardSnap]
-}
-
-// publishLocked copies the live state into a fresh immutable snapshot.
-// Callers must hold sh.mu.
-func (sh *shard) publishLocked() {
-	cp := make(map[profile.Edge]float64, len(sh.weights))
-	for e, w := range sh.weights {
-		cp[e] = w
-	}
-	sh.snap.Store(&shardSnap{weights: cp, total: sh.total})
-	sh.dirty = 0
 }
 
 // Stats is a point-in-time summary of a store.
@@ -122,7 +95,6 @@ func New(n int) *Store {
 	}
 	for i := range s.shards {
 		s.shards[i].weights = make(map[profile.Edge]float64)
-		s.shards[i].snap.Store(emptySnap)
 	}
 	return s
 }
@@ -157,112 +129,108 @@ func (s *Store) AddSample(e profile.Edge, w float64) {
 	sh.mu.Lock()
 	sh.weights[e] += w
 	sh.total += w
-	sh.dirty++
-	if sh.dirty >= publishEvery {
-		sh.publishLocked()
-	}
 	sh.mu.Unlock()
 	s.ingested.Add(w)
 }
 
-// MergeDCG bulk-merges a collected DCG snapshot into the store. Edges
-// are grouped by shard first, then every touched shard is locked
-// simultaneously — in index order, the same order lockAll uses, so
-// merges cannot deadlock against Snapshot, Decay, or each other — the
-// whole snapshot is applied, and each shard republishes its read view
-// before the locks drop. Holding all touched shards at once is what
-// makes Snapshot's consistency promise true: a concurrent Snapshot
-// observes this merge fully applied or not at all, never split across
-// shards. Zero-weight edges are skipped, mirroring profile.DCG.Merge.
-// Safe for concurrent use; each edge's weight is the exact sum of all
-// merged contributions.
+// mergeRec is one positive-weight edge of a delta, tagged with the
+// index of the shard that owns it.
+type mergeRec struct {
+	e     profile.Edge
+	w     float64
+	shard int
+}
+
+// MergeDCG bulk-merges a collected DCG snapshot into the store in
+// O(delta) time. One unordered pass over g tags each edge with its
+// shard; then every touched shard is locked simultaneously — in index
+// order, the same order lockAll uses, so merges cannot deadlock
+// against Snapshot, Decay, or each other — and the whole delta is
+// applied before the locks drop. Holding all touched shards at once is
+// what makes Snapshot's consistency promise true: a concurrent
+// Snapshot observes this merge fully applied or not at all, never
+// split across shards. Zero-weight edges are skipped, mirroring
+// profile.DCG.Merge. Safe for concurrent use; each edge's weight is
+// the exact sum of all merged contributions.
 func (s *Store) MergeDCG(g *profile.DCG) {
 	if g == nil || g.NumEdges() == 0 {
 		s.merges.Add(1)
 		return
 	}
-	byShard := make(map[int][]profile.Edge, len(s.shards))
-	for _, e := range g.Edges() {
-		i := int(edgeHash(e) & s.mask)
-		byShard[i] = append(byShard[i], e)
-	}
-	idxs := make([]int, 0, len(byShard))
-	for i := range byShard {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		s.shards[i].mu.Lock()
-	}
+	recs := make([]mergeRec, 0, g.NumEdges())
+	touched := make([]bool, len(s.shards))
 	var added float64
-	for _, i := range idxs {
-		sh := &s.shards[i]
-		for _, e := range byShard[i] {
-			w := g.Weight(e)
-			if w <= 0 {
-				continue
-			}
-			sh.weights[e] += w
-			sh.total += w
-			added += w
+	g.ForEach(func(e profile.Edge, w float64) {
+		if w <= 0 {
+			return
 		}
-		sh.publishLocked()
+		i := int(edgeHash(e) & s.mask)
+		recs = append(recs, mergeRec{e: e, w: w, shard: i})
+		touched[i] = true
+		added += w
+	})
+	for i, t := range touched {
+		if t {
+			s.shards[i].mu.Lock()
+		}
 	}
-	for _, i := range idxs {
-		s.shards[i].mu.Unlock()
+	for _, r := range recs {
+		sh := &s.shards[r.shard]
+		sh.weights[r.e] += r.w
+		sh.total += r.w
+	}
+	for i, t := range touched {
+		if t {
+			s.shards[i].mu.Unlock()
+		}
 	}
 	s.ingested.Add(added)
 	s.merges.Add(1)
 }
 
-// Weight returns e's weight as of the shard's last published snapshot.
-// Lock-free: never blocks writers.
+// Weight returns e's current weight.
 func (s *Store) Weight(e profile.Edge) float64 {
-	return s.shardFor(e).snap.Load().weights[e]
+	sh := s.shardFor(e)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.weights[e]
 }
 
-// TotalWeight returns the total weight across all shards' published
-// snapshots. Lock-free; under concurrent writes the per-shard
-// snapshots may be from slightly different instants.
-func (s *Store) TotalWeight() float64 {
-	var t float64
+// sums returns the edge count and total weight across all shards,
+// reading each shard under its mutex in turn: under concurrent writes
+// the per-shard figures may be from slightly different instants, and
+// Snapshot gives a consistent cut.
+func (s *Store) sums() (edges int, total float64) {
 	for i := range s.shards {
-		t += s.shards[i].snap.Load().total
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		edges += len(sh.weights)
+		total += sh.total
+		sh.mu.Unlock()
 	}
+	return edges, total
+}
+
+// TotalWeight returns the total weight across all shards.
+func (s *Store) TotalWeight() float64 {
+	_, t := s.sums()
 	return t
 }
 
-// NumEdges returns the number of distinct edges across all published
-// snapshots. Lock-free.
+// NumEdges returns the number of distinct edges across all shards.
 func (s *Store) NumEdges() int {
-	var n int
-	for i := range s.shards {
-		n += len(s.shards[i].snap.Load().weights)
-	}
+	n, _ := s.sums()
 	return n
 }
 
-// Percent returns e's published weight as a percentage (0–100) of the
-// published total, the normalization the overlap metric uses.
-// Lock-free.
+// Percent returns e's weight as a percentage (0–100) of the total, the
+// normalization the overlap metric uses.
 func (s *Store) Percent(e profile.Edge) float64 {
 	t := s.TotalWeight()
 	if t == 0 {
 		return 0
 	}
 	return s.Weight(e) / t * 100
-}
-
-// Sync republishes every shard's read snapshot, making the lock-free
-// read path exactly current with all writes that completed before the
-// call.
-func (s *Store) Sync() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.publishLocked()
-		sh.mu.Unlock()
-	}
 }
 
 // lockAll acquires every shard lock in index order (a fixed order, so
@@ -281,8 +249,7 @@ func (s *Store) lockAll() func() {
 
 // Snapshot returns a consistent point-in-time copy of the whole store
 // as a profile.DCG: all shards are locked simultaneously, so no merge
-// is ever observed half-applied across shards. Each shard's read
-// snapshot is republished while held.
+// is ever observed half-applied across shards.
 func (s *Store) Snapshot() *profile.DCG {
 	unlock := s.lockAll()
 	defer unlock()
@@ -292,7 +259,6 @@ func (s *Store) Snapshot() *profile.DCG {
 		for e, w := range sh.weights {
 			g.AddSample(e, w)
 		}
-		sh.publishLocked()
 	}
 	return g
 }
@@ -327,7 +293,6 @@ func (s *Store) Decay(factor, prune float64) int {
 			total += w
 		}
 		sh.total = total
-		sh.publishLocked()
 	}
 	s.epoch.Add(1)
 	return pruned
@@ -347,16 +312,17 @@ func (s *Store) Version() (merges, epochs uint64) {
 	return s.merges.Load(), s.epoch.Load()
 }
 
-// Stats returns a lock-free summary built from published snapshots and
-// the store's cumulative counters.
+// Stats returns a summary built from the shards' current state and the
+// store's cumulative counters.
 func (s *Store) Stats() Stats {
 	s.seqMu.Lock()
 	pushers := len(s.pushers)
 	s.seqMu.Unlock()
+	edges, total := s.sums()
 	return Stats{
 		Shards:          len(s.shards),
-		Edges:           s.NumEdges(),
-		TotalWeight:     s.TotalWeight(),
+		Edges:           edges,
+		TotalWeight:     total,
 		SamplesIngested: s.ingested.Load(),
 		Merges:          s.merges.Load(),
 		Epoch:           s.epoch.Load(),

@@ -2,6 +2,7 @@ package dcgstore
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -26,9 +27,6 @@ func TestAddSampleAndLockFreeReads(t *testing.T) {
 	s.AddSample(edge(1, 2, 3), -1) // ignored
 	s.AddSample(edge(4, 5, 6), 15)
 
-	// Published snapshots may trail single-sample writes; Sync makes
-	// the lock-free read path current.
-	s.Sync()
 	if w := s.Weight(edge(1, 2, 3)); w != 5 {
 		t.Errorf("Weight = %v, want 5", w)
 	}
@@ -46,16 +44,49 @@ func TestAddSampleAndLockFreeReads(t *testing.T) {
 	}
 }
 
-func TestAddSamplePublishesAfterThreshold(t *testing.T) {
-	s := New(1) // single shard so the write counter is easy to drive
-	for i := 0; i < publishEvery; i++ {
-		s.AddSample(edge(1, 1, 1), 1)
+// TestEveryWriteIsVisibleToTheNextRead checks read-your-writes on
+// every read path after every single write, merge and decay: reads
+// never trail writes, so there is nothing to flush or sync.
+func TestEveryWriteIsVisibleToTheNextRead(t *testing.T) {
+	s := New(4)
+	ref := profile.NewDCG()
+	check := func(step string) {
+		t.Helper()
+		var total float64
+		for _, e := range ref.Edges() {
+			if got, want := s.Weight(e), ref.Weight(e); got != want {
+				t.Fatalf("%s: Weight(%v) = %v, want %v", step, e, got, want)
+			}
+			total += ref.Weight(e)
+		}
+		if got := s.TotalWeight(); got != total {
+			t.Fatalf("%s: TotalWeight = %v, want %v", step, got, total)
+		}
+		if got := s.NumEdges(); got != ref.NumEdges() {
+			t.Fatalf("%s: NumEdges = %d, want %d", step, got, ref.NumEdges())
+		}
+		if st := s.Stats(); st.Edges != ref.NumEdges() || st.TotalWeight != total {
+			t.Fatalf("%s: Stats edges/total = %d/%v, want %d/%v", step, st.Edges, st.TotalWeight, ref.NumEdges(), total)
+		}
 	}
-	// publishEvery writes hit the auto-publish path: reads see them
-	// without an intervening Sync or merge.
-	if w := s.Weight(edge(1, 1, 1)); w != publishEvery {
-		t.Errorf("after %d writes Weight = %v, want %d", publishEvery, w, publishEvery)
+	for i := 0; i < 300; i++ {
+		e := edge(i%7, i%11, i%5)
+		s.AddSample(e, 1)
+		ref.AddSample(e, 1)
+		check(fmt.Sprintf("AddSample %d", i))
 	}
+	for i := 0; i < 20; i++ {
+		d := profile.NewDCG()
+		for j := 0; j < 10; j++ {
+			d.AddSample(edge(100+i, j, j%3), float64(1+j))
+		}
+		s.MergeDCG(d)
+		ref.Merge(d)
+		check(fmt.Sprintf("MergeDCG %d", i))
+	}
+	s.Decay(0.5, 0)
+	ref = ref.MapWeights(func(_ profile.Edge, w float64) float64 { return w * 0.5 })
+	check("Decay")
 }
 
 func TestMergeDCGMatchesSerialMerge(t *testing.T) {
@@ -88,7 +119,7 @@ func TestMergeDCGMatchesSerialMerge(t *testing.T) {
 	if st := s.Stats(); st.Merges != 3 {
 		t.Errorf("Merges = %d, want 3", st.Merges)
 	}
-	// Bulk merges publish immediately: lock-free reads are current.
+	// Reads after a merge see it.
 	if w := s.Weight(edge(1, 2, 3)); w != 5 {
 		t.Errorf("post-merge Weight = %v, want 5", w)
 	}
@@ -98,7 +129,6 @@ func TestDecayEpochs(t *testing.T) {
 	s := New(4)
 	s.AddSample(edge(1, 1, 1), 100)
 	s.AddSample(edge(2, 2, 2), 1)
-	s.Sync()
 
 	pruned := s.Decay(0.5, 1) // 1*0.5 <= 1 prunes the light edge
 	if pruned != 1 {
@@ -151,5 +181,53 @@ func TestEdgeHashSpreadsConsecutiveIDs(t *testing.T) {
 	}
 	if len(hit) < 6 {
 		t.Errorf("64 consecutive edges landed on only %d of 8 shards", len(hit))
+	}
+}
+
+// mergeFixture returns a store pre-filled with about storeEdges edges
+// and a 50-edge delta, half of whose edges the store already holds.
+func mergeFixture(storeEdges int) (*Store, *profile.DCG) {
+	s := New(DefaultShards)
+	for i := 0; i < storeEdges; i++ {
+		s.AddSample(edge(i/64, i, i%64), 1)
+	}
+	d := profile.NewDCG()
+	for i := 0; i < 50; i++ {
+		if i%2 == 0 {
+			d.AddSample(edge(i/64, i, i%64), 2)
+		} else {
+			d.AddSample(edge(-1, -i, i), 3)
+		}
+	}
+	return s, d
+}
+
+// TestMergeCostIndependentOfStoreSize pins MergeDCG to O(delta): the
+// same 50-edge delta allocates no more merging into a 100 000-edge
+// store than into a 100-edge one.
+func TestMergeCostIndependentOfStoreSize(t *testing.T) {
+	allocs := func(storeEdges int) float64 {
+		s, d := mergeFixture(storeEdges)
+		return testing.AllocsPerRun(20, func() { s.MergeDCG(d) })
+	}
+	small, big := allocs(100), allocs(100_000)
+	if big > small {
+		t.Errorf("merge allocs grow with store size: %v into 100 edges, %v into 100 000", small, big)
+	}
+}
+
+// BenchmarkMergeDCG times a 50-edge delta merged into a small and a
+// large store, per delta edge.
+func BenchmarkMergeDCG(b *testing.B) {
+	for _, n := range []int{100, 100_000} {
+		b.Run(fmt.Sprintf("store=%d", n), func(b *testing.B) {
+			s, d := mergeFixture(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.MergeDCG(d)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*d.NumEdges()), "ns/edge")
+		})
 	}
 }
